@@ -7,7 +7,9 @@
 //! Cactus), and a Richtmyer–Meshkov compressible-turbulence instability
 //! (RM2D, from the Caltech VTF). The originals are not available, so this
 //! crate implements each kernel *as a real 2-D PDE solver* of the same
-//! equation family (see `DESIGN.md` §2 for the substitution argument):
+//! equation family, chosen to reproduce the adaptation behaviour the
+//! paper reports for the original — the only property the trace-driven
+//! model and simulator consume:
 //!
 //! - [`tp2d`]: linear transport under a differentially rotating velocity
 //!   field (first-order upwind) — quasi-periodic, "seemingly random"
@@ -41,6 +43,8 @@
 pub mod bl2d;
 pub mod kernel;
 pub mod numerics;
+#[doc(hidden)]
+pub mod oracle;
 pub mod pc2d;
 pub mod rm2d;
 pub mod sc2d;

@@ -1,6 +1,6 @@
 //! Shared numerics for the reference solvers: clamped stencil access,
 //! gradient indicators, bilinear sampling and deterministic data-parallel
-//! row sweeps.
+//! row and row-band sweeps.
 
 use samr_geom::{Grid2, Point2, Rect2};
 use std::sync::OnceLock;
@@ -99,45 +99,19 @@ pub fn sample_unit(g: &Grid2<f64>, u: f64, v: f64) -> f64 {
 
 /// Deterministic data-parallel row sweep: compute `f(x, y)` for every cell
 /// of `domain` into `out`, with rows distributed over threads in
-/// contiguous bands. The result is identical for any thread count because
-/// `f` is a pure per-cell function and each thread writes a disjoint band.
+/// contiguous bands ([`par_bands`] with [`sweep_bands`] bands). The
+/// result is identical for any thread count because `f` is a pure
+/// per-cell function and each thread writes a disjoint band.
 pub fn par_rows(out: &mut Grid2<f64>, f: impl Fn(i64, i64) -> f64 + Sync) {
     let domain = out.domain();
-    let ny = domain.extent().y as usize;
-    let nx = domain.extent().x as usize;
-    let threads = hardware_threads().min(ny.max(1)).min(8);
-    if threads <= 1 || ny < 32 {
-        for y in domain.lo().y..=domain.hi().y {
-            let row = out.row_mut(y);
+    let (lo, nx) = (domain.lo(), domain.extent().x as usize);
+    let mut bands = vec![(); sweep_bands(domain.extent().y)];
+    par_bands([out.data_mut()], nx, &mut bands, |y0, [band], ()| {
+        for (r, row) in band.chunks_mut(nx).enumerate() {
+            let y = lo.y + (y0 + r) as i64;
             for (i, v) in row.iter_mut().enumerate() {
-                *v = f(domain.lo().x + i as i64, y);
+                *v = f(lo.x + i as i64, y);
             }
-        }
-        return;
-    }
-    let data = out.data_mut();
-    let rows_per = ny.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = data;
-        let mut y0 = domain.lo().y;
-        for _ in 0..threads {
-            let band_rows = rows_per.min(((domain.hi().y - y0 + 1).max(0)) as usize);
-            if band_rows == 0 {
-                break;
-            }
-            let (band, tail) = rest.split_at_mut(band_rows * nx);
-            rest = tail;
-            let fy0 = y0;
-            let fref = &f;
-            s.spawn(move || {
-                for (r, chunk) in band.chunks_mut(nx).enumerate() {
-                    let y = fy0 + r as i64;
-                    for (i, v) in chunk.iter_mut().enumerate() {
-                        *v = fref(domain.lo().x + i as i64, y);
-                    }
-                }
-            });
-            y0 += band_rows as i64;
         }
     });
 }
@@ -147,59 +121,62 @@ pub fn zeros(nx: i64, ny: i64) -> Grid2<f64> {
     Grid2::new(Rect2::from_extents(nx, ny), 0.0)
 }
 
-/// Multi-field variant of [`par_rows`]: compute `N` fields in one sweep
-/// (`f(x, y)` returns all `N` cell values). Used by the Euler solver where
-/// the four conserved components share one flux computation.
-pub fn par_rows_n<const N: usize>(
-    outs: [&mut Grid2<f64>; N],
-    f: impl Fn(i64, i64) -> [f64; N] + Sync,
-) {
-    let domain = outs[0].domain();
-    for o in outs.iter().skip(1) {
-        assert_eq!(o.domain(), domain, "all output fields must share a domain");
-    }
-    let ny = domain.extent().y as usize;
-    let nx = domain.extent().x as usize;
-    let threads = hardware_threads().min(ny.max(1)).min(8);
+/// Number of row bands a solver sweep over `ny` rows is split into: one
+/// per hardware thread (at most 8), or a single band on one-CPU hosts and
+/// for grids too small to be worth a thread spawn. Kernels size their
+/// per-band scratch with it once, at construction.
+pub fn sweep_bands(ny: i64) -> usize {
+    let ny = ny.max(1) as usize;
+    let threads = hardware_threads().min(ny).min(8);
     if threads <= 1 || ny < 32 {
-        let mut slices: Vec<&mut [f64]> = outs.into_iter().map(|g| g.data_mut()).collect();
-        for (r, y) in (domain.lo().y..=domain.hi().y).enumerate() {
-            for i in 0..nx {
-                let vals = f(domain.lo().x + i as i64, y);
-                for (k, s) in slices.iter_mut().enumerate() {
-                    s[r * nx + i] = vals[k];
-                }
-            }
+        1
+    } else {
+        threads
+    }
+}
+
+/// Deterministic banded row sweep for the solvers: the rows of the `N`
+/// output fields (each `nx` wide, row-major from row 0) are split into
+/// `scratch.len()` contiguous bands of `ceil(ny / bands)` rows, and
+/// `f(first_row, band_rows, scratch)` fills one band. With more than one
+/// band, the bands run on scoped threads (one scope per call). Each band
+/// writes only its own rows and owns its scratch, so the result is
+/// identical for any band count as long as `f` computes every row from
+/// read-only inputs — a band recomputes whatever it needs at its edges.
+pub fn par_bands<const N: usize, S: Send>(
+    outs: [&mut [f64]; N],
+    nx: usize,
+    scratch: &mut [S],
+    f: impl Fn(usize, [&mut [f64]; N], &mut S) + Sync,
+) {
+    assert!(N >= 1 && nx >= 1 && !scratch.is_empty());
+    let ny = outs[0].len() / nx;
+    for o in &outs {
+        assert_eq!(o.len(), ny * nx, "all output fields must share a shape");
+    }
+    let rows_per = ny.div_ceil(scratch.len()).max(1);
+    let used = ny.div_ceil(rows_per);
+    let mut chunks = outs.map(|o| o.chunks_mut(rows_per * nx));
+    let mut bands = scratch.iter_mut().take(used).enumerate().map(|(b, s)| {
+        let rows = chunks
+            .each_mut()
+            .map(|c| c.next().expect("fields share a shape"));
+        (b * rows_per, rows, s)
+    });
+    if used <= 1 {
+        if let Some((y0, rows, s)) = bands.next() {
+            f(y0, rows, s);
         }
         return;
     }
-    let rows_per = ny.div_ceil(threads);
-    let mut rests: Vec<&mut [f64]> = outs.into_iter().map(|g| g.data_mut()).collect();
-    std::thread::scope(|s| {
-        let mut y0 = domain.lo().y;
-        while y0 <= domain.hi().y {
-            let band_rows = rows_per.min((domain.hi().y - y0 + 1) as usize);
-            let mut bands: Vec<&mut [f64]> = Vec::with_capacity(N);
-            for r in rests.iter_mut() {
-                let taken = std::mem::take(r);
-                let (band, tail) = taken.split_at_mut(band_rows * nx);
-                *r = tail;
-                bands.push(band);
-            }
-            let fy0 = y0;
-            let fref = &f;
-            s.spawn(move || {
-                for r in 0..band_rows {
-                    let y = fy0 + r as i64;
-                    for i in 0..nx {
-                        let vals = fref(domain.lo().x + i as i64, y);
-                        for (k, b) in bands.iter_mut().enumerate() {
-                            b[r * nx + i] = vals[k];
-                        }
-                    }
-                }
-            });
-            y0 += band_rows as i64;
+    let f = &f;
+    std::thread::scope(|sc| {
+        let first = bands.next();
+        for (y0, rows, s) in bands {
+            sc.spawn(move || f(y0, rows, s));
+        }
+        if let Some((y0, rows, s)) = first {
+            f(y0, rows, s);
         }
     });
 }
@@ -277,22 +254,37 @@ mod tests {
     }
 
     #[test]
-    fn par_rows_n_matches_componentwise() {
-        let mut a = zeros(48, 48);
-        let mut b = zeros(48, 48);
-        par_rows_n([&mut a, &mut b], |x, y| [(x + y) as f64, (x * y) as f64]);
-        let ea = Grid2::from_fn(Rect2::from_extents(48, 48), |p| (p.x + p.y) as f64);
-        let eb = Grid2::from_fn(Rect2::from_extents(48, 48), |p| (p.x * p.y) as f64);
-        assert_eq!(a, ea);
-        assert_eq!(b, eb);
+    fn par_bands_is_identical_for_any_band_count() {
+        // Each cell is a pure function of its coordinates; every band
+        // count (including uneven splits and more bands than rows) must
+        // fill every cell exactly once.
+        let (nx, ny) = (7usize, 11usize);
+        let fill = |bands: usize| {
+            let mut a = vec![0.0; nx * ny];
+            let mut b = vec![0.0; nx * ny];
+            let mut scratch = vec![0usize; bands];
+            par_bands([&mut a, &mut b], nx, &mut scratch, |y0, [ra, rb], seen| {
+                for (r, (row_a, row_b)) in ra.chunks_mut(nx).zip(rb.chunks_mut(nx)).enumerate() {
+                    *seen += 1;
+                    for (i, (va, vb)) in row_a.iter_mut().zip(row_b.iter_mut()).enumerate() {
+                        *va = ((y0 + r) * 100 + i) as f64;
+                        *vb = -*va;
+                    }
+                }
+            });
+            assert_eq!(scratch.iter().sum::<usize>(), ny, "every row swept once");
+            (a, b)
+        };
+        let serial = fill(1);
+        for bands in [2, 3, 4, 11, 16] {
+            assert_eq!(fill(bands), serial, "{bands} bands");
+        }
+        assert_eq!(serial.0[3 * nx + 5], 305.0);
     }
 
     #[test]
-    fn par_rows_n_serial_path() {
-        let mut a = zeros(4, 4);
-        let mut b = zeros(4, 4);
-        par_rows_n([&mut a, &mut b], |x, y| [x as f64, y as f64]);
-        assert_eq!(*a.get(Point2::new(2, 1)), 2.0);
-        assert_eq!(*b.get(Point2::new(2, 1)), 1.0);
+    fn sweep_bands_is_serial_for_small_grids() {
+        assert_eq!(sweep_bands(8), 1);
+        assert!((1..=8).contains(&sweep_bands(4096)));
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::kernel::{geometric_threshold, Kernel};
 use crate::numerics::{self, clamped};
+use crate::oracle::ReferenceKernel;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use samr_geom::{Grid2, Point2};
@@ -23,6 +24,11 @@ pub struct Sc2d {
     u_next: Grid2<f64>,
     indicator: Grid2<f64>,
     scratch: Grid2<f64>,
+    /// The zero row the Dirichlet walls read beyond the first and last
+    /// row.
+    zero_row: Vec<f64>,
+    /// Row bands of the substep sweep.
+    bands: usize,
     n: i64,
     dt: f64,
     substeps: u32,
@@ -64,6 +70,8 @@ impl Sc2d {
             scratch: u.clone(),
             indicator: numerics::zeros(n, n),
             u,
+            zero_row: vec![0.0; n as usize],
+            bands: numerics::sweep_bands(n),
             n,
             dt,
             substeps,
@@ -88,6 +96,77 @@ impl Sc2d {
         });
         std::mem::swap(&mut self.indicator, &mut self.scratch);
         numerics::normalize_max(&mut self.indicator);
+    }
+
+    /// One leapfrog substep as a row sweep: interior cells read the row
+    /// slices directly; the walls read zeros (the zero row beyond the
+    /// first and last row, a literal zero beyond the first and last
+    /// column).
+    fn sweep(&mut self, r2: f64) {
+        let (u, u_prev, zero) = (&self.u, &self.u_prev, &self.zero_row[..]);
+        let nx = self.n as usize;
+        let ny = self.n;
+        numerics::par_bands(
+            [self.u_next.data_mut()],
+            nx,
+            &mut vec![(); self.bands],
+            |y0, [out], ()| {
+                for (r, orow) in out.chunks_mut(nx).enumerate() {
+                    let y = (y0 + r) as i64;
+                    let uc = u.row(y);
+                    let prev = u_prev.row(y);
+                    let above = if y + 1 < ny { u.row(y + 1) } else { zero };
+                    let below = if y > 0 { u.row(y - 1) } else { zero };
+                    let cell = |i: usize, right: f64, left: f64| {
+                        let lap = right + left + above[i] + below[i] - 4.0 * uc[i];
+                        2.0 * uc[i] - prev[i] + r2 * lap
+                    };
+                    orow[0] = cell(0, uc[1], 0.0);
+                    for i in 1..nx - 1 {
+                        orow[i] = cell(i, uc[i + 1], uc[i - 1]);
+                    }
+                    orow[nx - 1] = cell(nx - 1, 0.0, uc[nx - 2]);
+                }
+            },
+        );
+    }
+
+    /// The retained per-cell stencil with a domain test on every read:
+    /// the bit-identity oracle of [`Sc2d::sweep`].
+    fn sweep_reference(&mut self, r2: f64) {
+        let (u, u_prev) = (&self.u, &self.u_prev);
+        let d = u.domain();
+        // Dirichlet walls: treat outside as 0.
+        let at = |i: i64, j: i64| -> f64 {
+            if d.contains_point(Point2::new(i, j)) {
+                *u.get(Point2::new(i, j))
+            } else {
+                0.0
+            }
+        };
+        for y in d.lo().y..=d.hi().y {
+            for x in d.lo().x..=d.hi().x {
+                let lap =
+                    at(x + 1, y) + at(x - 1, y) + at(x, y + 1) + at(x, y - 1) - 4.0 * at(x, y);
+                self.u_next.set(
+                    Point2::new(x, y),
+                    2.0 * at(x, y) - clamped(u_prev, x, y) + r2 * lap,
+                );
+            }
+        }
+    }
+
+    /// Advance one coarse step, running each substep through `sweep`.
+    fn advance_with(&mut self, sweep: fn(&mut Self, f64)) {
+        let r2 = (C * self.dt * self.n as f64).powi(2); // (c·dt/dx)²
+        for _ in 0..self.substeps {
+            sweep(self, r2);
+            // Rotate: prev <- u <- next.
+            std::mem::swap(&mut self.u_prev, &mut self.u);
+            std::mem::swap(&mut self.u, &mut self.u_next);
+            self.time += self.dt;
+        }
+        self.refresh_indicator();
     }
 
     /// Discrete wave energy `Σ (u_t² + c²|∇u|²)/2 · dx²` — conserved by
@@ -148,29 +227,7 @@ impl Kernel for Sc2d {
     }
 
     fn advance_coarse_step(&mut self) {
-        let r2 = (C * self.dt * self.n as f64).powi(2); // (c·dt/dx)²
-        for _ in 0..self.substeps {
-            let (u, u_prev) = (&self.u, &self.u_prev);
-            let d = u.domain();
-            numerics::par_rows(&mut self.u_next, |x, y| {
-                // Dirichlet walls: treat outside as 0.
-                let at = |i: i64, j: i64| -> f64 {
-                    if d.contains_point(Point2::new(i, j)) {
-                        *u.get(Point2::new(i, j))
-                    } else {
-                        0.0
-                    }
-                };
-                let lap =
-                    at(x + 1, y) + at(x - 1, y) + at(x, y + 1) + at(x, y - 1) - 4.0 * at(x, y);
-                2.0 * at(x, y) - clamped(u_prev, x, y) + r2 * lap
-            });
-            // Rotate: prev <- u <- next.
-            std::mem::swap(&mut self.u_prev, &mut self.u);
-            std::mem::swap(&mut self.u, &mut self.u_next);
-            self.time += self.dt;
-        }
-        self.refresh_indicator();
+        self.advance_with(Self::sweep);
     }
 
     fn time(&self) -> f64 {
@@ -183,6 +240,20 @@ impl Kernel for Sc2d {
 
     fn threshold(&self, level: usize) -> f64 {
         geometric_threshold(0.14, 1.7, level)
+    }
+}
+
+impl ReferenceKernel for Sc2d {
+    fn advance_coarse_step_reference(&mut self) {
+        self.advance_with(Self::sweep_reference);
+    }
+
+    fn set_sweep_bands(&mut self, bands: usize) {
+        self.bands = bands.max(1);
+    }
+
+    fn state_fields(&self) -> Vec<&Grid2<f64>> {
+        vec![&self.u, &self.u_prev, &self.indicator]
     }
 }
 
@@ -252,6 +323,21 @@ mod tests {
         k.advance_coarse_step();
         assert!(k.indicator_field().max_abs() <= 1.0 + 1e-12);
         assert!(k.indicator_field().max_abs() > 0.99);
+    }
+
+    #[test]
+    fn row_sweep_matches_the_per_cell_reference_bit_for_bit() {
+        // Nonzero displacement on every wall cell, so the Dirichlet
+        // zeros beyond all four walls enter the Laplacian.
+        let seeded = || {
+            let mut k = Sc2d::new(20, 40, 2);
+            let d = k.u.domain();
+            k.u = Grid2::from_fn(d, |p| (0.9 * p.x as f64 + 0.4 * p.y as f64).sin() + 1.5);
+            k.u_prev = Grid2::from_fn(d, |p| (0.9 * p.x as f64 - 0.2 * p.y as f64).cos() + 1.5);
+            k
+        };
+        let make = || Box::new(seeded()) as Box<dyn ReferenceKernel>;
+        crate::oracle::assert_sweeps_match(make, &[1, 2, 3], 3, "SC2D");
     }
 
     #[test]

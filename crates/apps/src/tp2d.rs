@@ -16,9 +16,10 @@
 
 use crate::kernel::{geometric_threshold, Kernel};
 use crate::numerics::{self, clamped};
+use crate::oracle::ReferenceKernel;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use samr_geom::Grid2;
+use samr_geom::{Grid2, Point2};
 
 /// Differentially-rotating transport kernel (see module docs).
 pub struct Tp2d {
@@ -28,6 +29,8 @@ pub struct Tp2d {
     vy: Grid2<f64>,
     indicator: Grid2<f64>,
     scratch: Grid2<f64>,
+    /// Row bands of the substep sweep.
+    bands: usize,
     n: i64,
     dt: f64,
     substeps: u32,
@@ -96,6 +99,7 @@ impl Tp2d {
             u: u_field,
             vx,
             vy,
+            bands: numerics::sweep_bands(n),
             n,
             dt,
             substeps,
@@ -103,6 +107,77 @@ impl Tp2d {
         };
         k.refresh_indicator();
         k
+    }
+
+    /// One substep as a row sweep: interior cells read the row slices
+    /// directly; only the first and last column and row clamp.
+    fn sweep(&mut self, lam: f64) {
+        let (u, vx, vy) = (&self.u, &self.vx, &self.vy);
+        let nx = self.n as usize;
+        let last = self.n - 1;
+        numerics::par_bands(
+            [self.u_next.data_mut()],
+            nx,
+            &mut vec![(); self.bands],
+            |y0, [out], ()| {
+                for (r, orow) in out.chunks_mut(nx).enumerate() {
+                    let y = (y0 + r) as i64;
+                    let uc = u.row(y);
+                    let (below, above) = (u.row((y - 1).max(0)), u.row((y + 1).min(last)));
+                    let (ax, ay) = (vx.row(y), vy.row(y));
+                    let cell = |i: usize, left: f64, right: f64| {
+                        let c = uc[i];
+                        let (a, b) = (ax[i], ay[i]);
+                        let dudx = if a >= 0.0 { c - left } else { right - c };
+                        let dudy = if b >= 0.0 { c - below[i] } else { above[i] - c };
+                        c - lam * (a * dudx + b * dudy)
+                    };
+                    orow[0] = cell(0, uc[0], uc[1]);
+                    for i in 1..nx - 1 {
+                        orow[i] = cell(i, uc[i - 1], uc[i + 1]);
+                    }
+                    orow[nx - 1] = cell(nx - 1, uc[nx - 2], uc[nx - 1]);
+                }
+            },
+        );
+    }
+
+    /// The retained per-cell stencil through clamped point reads: the
+    /// bit-identity oracle of [`Tp2d::sweep`].
+    fn sweep_reference(&mut self, lam: f64) {
+        let (u, vx, vy) = (&self.u, &self.vx, &self.vy);
+        let d = u.domain();
+        for y in d.lo().y..=d.hi().y {
+            for x in d.lo().x..=d.hi().x {
+                let uc = clamped(u, x, y);
+                let a = clamped(vx, x, y);
+                let b = clamped(vy, x, y);
+                let dudx = if a >= 0.0 {
+                    uc - clamped(u, x - 1, y)
+                } else {
+                    clamped(u, x + 1, y) - uc
+                };
+                let dudy = if b >= 0.0 {
+                    uc - clamped(u, x, y - 1)
+                } else {
+                    clamped(u, x, y + 1) - uc
+                };
+                self.u_next
+                    .set(Point2::new(x, y), uc - lam * (a * dudx + b * dudy));
+            }
+        }
+    }
+
+    /// Advance one coarse step, running each substep through `sweep`.
+    fn advance_with(&mut self, sweep: fn(&mut Self, f64)) {
+        let dx = 1.0 / self.n as f64;
+        let lam = self.dt / dx;
+        for _ in 0..self.substeps {
+            sweep(self, lam);
+            std::mem::swap(&mut self.u, &mut self.u_next);
+            self.time += self.dt;
+        }
+        self.refresh_indicator();
     }
 
     fn refresh_indicator(&mut self) {
@@ -135,30 +210,7 @@ impl Kernel for Tp2d {
     }
 
     fn advance_coarse_step(&mut self) {
-        let dx = 1.0 / self.n as f64;
-        let lam = self.dt / dx;
-        for _ in 0..self.substeps {
-            let (u, vx, vy) = (&self.u, &self.vx, &self.vy);
-            numerics::par_rows(&mut self.u_next, |x, y| {
-                let uc = clamped(u, x, y);
-                let a = clamped(vx, x, y);
-                let b = clamped(vy, x, y);
-                let dudx = if a >= 0.0 {
-                    uc - clamped(u, x - 1, y)
-                } else {
-                    clamped(u, x + 1, y) - uc
-                };
-                let dudy = if b >= 0.0 {
-                    uc - clamped(u, x, y - 1)
-                } else {
-                    clamped(u, x, y + 1) - uc
-                };
-                uc - lam * (a * dudx + b * dudy)
-            });
-            std::mem::swap(&mut self.u, &mut self.u_next);
-            self.time += self.dt;
-        }
-        self.refresh_indicator();
+        self.advance_with(Self::sweep);
     }
 
     fn time(&self) -> f64 {
@@ -174,10 +226,23 @@ impl Kernel for Tp2d {
     }
 }
 
+impl ReferenceKernel for Tp2d {
+    fn advance_coarse_step_reference(&mut self) {
+        self.advance_with(Self::sweep_reference);
+    }
+
+    fn set_sweep_bands(&mut self, bands: usize) {
+        self.bands = bands.max(1);
+    }
+
+    fn state_fields(&self) -> Vec<&Grid2<f64>> {
+        vec![&self.u, &self.indicator]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use samr_geom::Point2;
 
     fn kernel() -> Tp2d {
         Tp2d::new(48, 20, 7)
@@ -251,6 +316,25 @@ mod tests {
         // Same seed reproduces exactly.
         let c = Tp2d::new(48, 20, 1);
         assert_eq!(a.u.data(), c.u.data());
+    }
+
+    #[test]
+    fn row_sweep_matches_the_per_cell_reference_bit_for_bit() {
+        // The rotating flow changes the upwind side of both axes across
+        // the grid; a noisy field makes every stencil term matter.
+        let seeded = || {
+            let mut k = Tp2d::new(20, 40, 6);
+            k.u = Grid2::from_fn(k.u.domain(), |p| {
+                (1.7 * p.x as f64 - 0.3 * p.y as f64).sin()
+            });
+            k
+        };
+        let k = seeded();
+        for v in [&k.vx, &k.vy] {
+            assert!(v.data().iter().any(|&a| a > 0.0) && v.data().iter().any(|&a| a < 0.0));
+        }
+        let make = || Box::new(seeded()) as Box<dyn ReferenceKernel>;
+        crate::oracle::assert_sweeps_match(make, &[1, 2, 3], 3, "TP2D");
     }
 
     #[test]

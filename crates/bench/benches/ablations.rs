@@ -1,4 +1,4 @@
-//! Ablation experiments for the design choices DESIGN.md §6 calls out.
+//! Ablation experiments for the model's and the pipeline's design choices.
 //!
 //! Each bench measures the ablated pipeline and prints (once) the
 //! quality deltas that justify the paper's choices:

@@ -19,7 +19,7 @@
 //!     intersection, region algebra, SFC keys, Berger–Rigoutsos, β_m);
 //!   - `partitioners`: the three partitioner families on representative
 //!     hierarchies at several processor counts;
-//!   - `ablations`: the design-choice experiments from DESIGN.md §6 (β_m
+//!   - `ablations`: the design-choice ablation experiments (β_m
 //!     denominator, grid-size weighting, SFC ordering, cluster
 //!     efficiency).
 //!

@@ -1,6 +1,6 @@
 //! The fixed benchmark suites behind `samr bench`.
 //!
-//! Six suites, one report each:
+//! Seven suites, one report each:
 //!
 //! - **kernels** — SFC key generation (2-D/3-D Morton and Hilbert,
 //!   encode and decode, optimized public path *and* the retained scalar
@@ -24,13 +24,17 @@
 //!   presets isolates the cost of actually switching. The suite
 //!   asserts the quality contract before timing anything: the adaptive
 //!   policy's simulated execution time must beat the best static
-//!   assignment on this workload.
+//!   assignment on this workload;
+//! - **solver** — one `advance_coarse_step` of each 2-D solver on its
+//!   reduced reference grid, single-band, against the retained per-cell
+//!   reference stencil as the `_naive` twin. The suite asserts the two
+//!   bit-identical after one step before timing anything.
 //!
 //! Bench names are stable identifiers: the checked-in `BENCH_*.json`
 //! baselines and the CI regression check key on them.
 
 use crate::harness::{bench_fn, BenchBudget, BenchReport};
-use crate::{bench_trace, representative_hierarchy};
+use crate::{bench_config, bench_trace, representative_hierarchy};
 use samr_apps::{AppKind, TraceGenConfig};
 use samr_engine::{Campaign, CampaignSpec};
 use samr_geom::sfc::SfcCurve;
@@ -738,10 +742,65 @@ pub fn adaptive_report(budget: BenchBudget) -> BenchReport {
     rep
 }
 
+/// The `solver` suite: ns per coarse step of each 2-D solver on the
+/// reduced reference grid (RM2D 192×96, the others 96×96), face-flux row
+/// sweep vs the retained per-cell stencil. Both twins run single-band on
+/// one thread, so the ratio is the sweep's, not the thread count's.
+/// Each kernel keeps advancing across iterations; the per-step cost
+/// does not depend on the simulated time.
+pub fn solver_report(budget: BenchBudget) -> BenchReport {
+    use samr_apps::oracle::{assert_bit_identical, make_reference_kernel};
+
+    let mut rep = BenchReport::new("solver", budget);
+    let cfg = bench_config();
+    for kind in AppKind::ALL {
+        let kname = kind.name().to_ascii_lowercase();
+        let mut fast = make_reference_kernel(kind, &cfg);
+        fast.set_sweep_bands(1);
+        let mut naive = make_reference_kernel(kind, &cfg);
+        fast.advance_coarse_step();
+        naive.advance_coarse_step_reference();
+        assert_bit_identical(fast.as_ref(), naive.as_ref(), kind.name());
+        rep.benches
+            .push(bench_fn(&format!("advance_{kname}"), budget, None, || {
+                fast.advance_coarse_step();
+                fast.time()
+            }));
+        rep.benches.push(bench_fn(
+            &format!("advance_{kname}_naive"),
+            budget,
+            None,
+            || {
+                naive.advance_coarse_step_reference();
+                naive.time()
+            },
+        ));
+    }
+    rep
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::harness::validate;
+
+    #[test]
+    fn solver_suite_pairs_every_solver_with_its_naive_twin() {
+        let rep = solver_report(BenchBudget {
+            target_ns: 1_000_000,
+            max_iters: 1,
+        });
+        validate(&rep).expect("valid solver report");
+        for kind in AppKind::ALL {
+            let name = format!("advance_{}", kind.name().to_ascii_lowercase());
+            assert!(rep.get(&name).is_some(), "missing {name}");
+            assert!(
+                rep.get(&format!("{name}_naive")).is_some(),
+                "missing naive twin of {name}"
+            );
+        }
+        assert_eq!(rep.benches.len(), 2 * AppKind::ALL.len());
+    }
 
     #[test]
     fn kernels_suite_is_valid_and_has_scalar_references() {

@@ -5,7 +5,7 @@
 //! and `β_C` (communication) — and uses `β_c` in its validation ("the new
 //! metric", Figures 4–7 left panels). Part I's text is not available, so
 //! the penalties are reconstructed here from everything Part II says
-//! about them (documented in DESIGN.md §2):
+//! about them:
 //!
 //! - **β_c is ab initio and aggressive**: "β_C reflects a worst-case
 //!   scenario" and "jumps at potentially communication-heavy grids"

@@ -1,5 +1,5 @@
 //! Static vs. dynamic partitioner selection on a trace — the
-//! proof-of-concept experiment (DESIGN.md META1).
+//! proof-of-concept experiment for the meta-partitioner.
 //!
 //! The paper motivates the meta-partitioner with Figure 1 (a static P
 //! leaves execution time on the table) and the ArMADA result ("even with

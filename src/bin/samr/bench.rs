@@ -3,12 +3,12 @@
 //! against checked-in baselines.
 //!
 //! ```text
-//! samr bench [--suite kernels|partition|campaign|sim|regrid|adaptive|all] [--quick] [--out DIR]
+//! samr bench [--suite kernels|partition|campaign|sim|regrid|adaptive|solver|all] [--quick] [--out DIR]
 //! samr bench --check BASELINE.json [--check …] [--tolerance PCT] [--quick]
 //!            [--allow-budget-mismatch]
 //! ```
 //!
-//! Emit mode runs the selected suites (default: all six) and writes
+//! Emit mode runs the selected suites (default: all seven) and writes
 //! one `BENCH_<suite>.json` per suite into `--out` (default: the
 //! current directory). Check mode loads each baseline file, re-runs
 //! that file's suite, and fails — exit status 1 — when any baseline
@@ -35,6 +35,24 @@ fn flag_values(args: &[String], flag: &str) -> Vec<String> {
         .collect()
 }
 
+/// Every suite, in the order `--suite all` runs them.
+const SUITES: [&str; 7] = [
+    "kernels",
+    "partition",
+    "campaign",
+    "sim",
+    "regrid",
+    "adaptive",
+    "solver",
+];
+
+fn unknown_suite(name: &str) -> String {
+    format!(
+        "unknown suite '{name}' (expected {} | all)",
+        SUITES.join(" | ")
+    )
+}
+
 fn run_suite(suite: &str, budget: BenchBudget) -> Result<BenchReport, String> {
     let rep = match suite {
         "kernels" => suites::kernels_report(budget),
@@ -43,11 +61,8 @@ fn run_suite(suite: &str, budget: BenchBudget) -> Result<BenchReport, String> {
         "sim" => suites::sim_report(budget),
         "regrid" => suites::regrid_report(budget),
         "adaptive" => suites::adaptive_report(budget),
-        other => {
-            return Err(format!(
-                "unknown suite '{other}' (expected kernels | partition | campaign | sim | regrid | adaptive | all)"
-            ))
-        }
+        "solver" => suites::solver_report(budget),
+        other => return Err(unknown_suite(other)),
     };
     validate(&rep).map_err(|e| format!("suite '{suite}' produced an invalid report: {e}"))?;
     Ok(rep)
@@ -172,20 +187,11 @@ pub fn cmd_bench(args: &[String]) -> Result<(), String> {
         return Err("--allow-budget-mismatch only applies with --check".into());
     }
     let selected: Vec<&str> = match flag_value(args, "--suite").as_deref() {
-        None | Some("all") => vec!["kernels", "partition", "campaign", "sim", "regrid", "adaptive"],
-        Some(s) => vec![match s {
-            "kernels" => "kernels",
-            "partition" => "partition",
-            "campaign" => "campaign",
-            "sim" => "sim",
-            "regrid" => "regrid",
-            "adaptive" => "adaptive",
-            other => {
-                return Err(format!(
-                    "unknown suite '{other}' (expected kernels | partition | campaign | sim | regrid | adaptive | all)"
-                ))
-            }
-        }],
+        None | Some("all") => SUITES.to_vec(),
+        Some(s) => vec![*SUITES
+            .iter()
+            .find(|&&name| name == s)
+            .ok_or_else(|| unknown_suite(s))?],
     };
     let out_dir = PathBuf::from(flag_value(args, "--out").unwrap_or_else(|| ".".into()));
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;

@@ -15,7 +15,7 @@
 //!               [--resume] [--retries N]
 //! samr campaign-merge DIR… [--out DIR]
 //! samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]
-//! samr bench [--suite kernels|partition|campaign|sim|regrid|adaptive|all] [--quick] [--out DIR]
+//! samr bench [--suite kernels|partition|campaign|sim|regrid|adaptive|solver|all] [--quick] [--out DIR]
 //!            [--check BASELINE.json]… [--tolerance PCT] [--allow-budget-mismatch]
 //! samr apps
 //! samr partitioners
@@ -75,7 +75,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  samr generate <app> [--config paper|reduced|smoke] [--seed N] [--binary] [--out FILE]\n  samr analyze  <trace-file>\n  samr simulate <trace-file> [--partitioner NAME] [--nprocs N]\n  samr compare  <trace-file> [--nprocs N]\n  samr campaign [--apps A,B] [--dims 2,3] [--partitioners P,Q] [--nprocs N,M] [--ghost-widths G,H]\n                [--config paper|reduced|smoke] [--policies static,adaptive:balance,...]\n                [--machines uniform,fast-net,slow-net,slow-cpu] [--out DIR]\n                [--spec FILE] [--threads N] [--shard I/N | --workers N] [--shard-strategy round-robin|size-aware]\n                [--resume] [--retries N]\n  samr campaign-merge DIR... [--out DIR]\n  samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]\n  samr bench [--suite kernels|partition|campaign|sim|regrid|adaptive|all] [--quick] [--out DIR]\n             [--check BASELINE.json]... [--tolerance PCT] [--allow-budget-mismatch]\n  samr apps\n  samr partitioners"
+        "usage:\n  samr generate <app> [--config paper|reduced|smoke] [--seed N] [--binary] [--out FILE]\n  samr analyze  <trace-file>\n  samr simulate <trace-file> [--partitioner NAME] [--nprocs N]\n  samr compare  <trace-file> [--nprocs N]\n  samr campaign [--apps A,B] [--dims 2,3] [--partitioners P,Q] [--nprocs N,M] [--ghost-widths G,H]\n                [--config paper|reduced|smoke] [--policies static,adaptive:balance,...]\n                [--machines uniform,fast-net,slow-net,slow-cpu] [--out DIR]\n                [--spec FILE] [--threads N] [--shard I/N | --workers N] [--shard-strategy round-robin|size-aware]\n                [--resume] [--retries N]\n  samr campaign-merge DIR... [--out DIR]\n  samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]\n  samr bench [--suite kernels|partition|campaign|sim|regrid|adaptive|solver|all] [--quick] [--out DIR]\n             [--check BASELINE.json]... [--tolerance PCT] [--allow-budget-mismatch]\n  samr apps\n  samr partitioners"
     );
     ExitCode::from(2)
 }

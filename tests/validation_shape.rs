@@ -17,14 +17,33 @@
 use samr::apps::AppKind;
 use samr::experiments::{configs, ValidationRun};
 use samr::sim::metrics::dominant_period;
+use std::sync::OnceLock;
 
-fn runs() -> Vec<ValidationRun> {
-    let cfg = configs::reduced();
-    let sim = configs::sim();
-    AppKind::ALL
+/// The four reduced-configuration validation runs, computed once per
+/// test binary (one thread per application) and shared by every test:
+/// each run is deterministic, so sharing it changes no assertion.
+fn runs() -> &'static [ValidationRun] {
+    static RUNS: OnceLock<Vec<ValidationRun>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let (cfg, sim) = (&configs::reduced(), &configs::sim());
+        std::thread::scope(|s| {
+            let handles: Vec<_> = AppKind::ALL
+                .iter()
+                .map(|&k| s.spawn(move || ValidationRun::execute(k, cfg, sim)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("validation run panicked"))
+                .collect()
+        })
+    })
+}
+
+fn run_of(app: AppKind) -> &'static ValidationRun {
+    runs()
         .iter()
-        .map(|&k| ValidationRun::execute(k, &cfg, &sim))
-        .collect()
+        .find(|r| r.app == app)
+        .expect("every paper application has a run")
 }
 
 #[test]
@@ -89,8 +108,7 @@ fn bl2d_model_shows_the_pulse_period() {
     // The BL2D injection pulse has a 10-step period; β_m must pick it up
     // (the measured series is noisier at reduced scale, so only the model
     // side is asserted here; the paper-scale run shows 10/10).
-    let cfg = configs::reduced();
-    let run = ValidationRun::execute(AppKind::Bl2d, &cfg, &configs::sim());
+    let run = run_of(AppKind::Bl2d);
     let beta_m: Vec<f64> = run.model.iter().skip(1).map(|s| s.beta_m).collect();
     let period = dominant_period(&beta_m).expect("β_m should oscillate for BL2D");
     assert!(
