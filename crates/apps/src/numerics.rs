@@ -99,7 +99,7 @@ pub fn sample_unit(g: &Grid2<f64>, u: f64, v: f64) -> f64 {
 
 /// Deterministic data-parallel row sweep: compute `f(x, y)` for every cell
 /// of `domain` into `out`, with rows distributed over threads in
-/// contiguous bands ([`par_bands`] with [`sweep_bands`] bands). The
+/// contiguous bands (`par_bands` with `sweep_bands` bands). The
 /// result is identical for any thread count because `f` is a pure
 /// per-cell function and each thread writes a disjoint band.
 pub fn par_rows(out: &mut Grid2<f64>, f: impl Fn(i64, i64) -> f64 + Sync) {
@@ -125,7 +125,7 @@ pub fn zeros(nx: i64, ny: i64) -> Grid2<f64> {
 /// per hardware thread (at most 8), or a single band on one-CPU hosts and
 /// for grids too small to be worth a thread spawn. Kernels size their
 /// per-band scratch with it once, at construction.
-pub fn sweep_bands(ny: i64) -> usize {
+pub(crate) fn sweep_bands(ny: i64) -> usize {
     let ny = ny.max(1) as usize;
     let threads = hardware_threads().min(ny).min(8);
     if threads <= 1 || ny < 32 {
@@ -143,7 +143,7 @@ pub fn sweep_bands(ny: i64) -> usize {
 /// writes only its own rows and owns its scratch, so the result is
 /// identical for any band count as long as `f` computes every row from
 /// read-only inputs — a band recomputes whatever it needs at its edges.
-pub fn par_bands<const N: usize, S: Send>(
+pub(crate) fn par_bands<const N: usize, S: Send>(
     outs: [&mut [f64]; N],
     nx: usize,
     scratch: &mut [S],

@@ -39,13 +39,6 @@ fn runs() -> &'static [ValidationRun] {
     })
 }
 
-fn run_of(app: AppKind) -> &'static ValidationRun {
-    runs()
-        .iter()
-        .find(|r| r.app == app)
-        .expect("every paper application has a run")
-}
-
 #[test]
 fn larger_beta_m_means_more_migration() {
     // Positive correlation between β_m and measured relative migration
@@ -108,7 +101,10 @@ fn bl2d_model_shows_the_pulse_period() {
     // The BL2D injection pulse has a 10-step period; β_m must pick it up
     // (the measured series is noisier at reduced scale, so only the model
     // side is asserted here; the paper-scale run shows 10/10).
-    let run = run_of(AppKind::Bl2d);
+    let run = runs()
+        .iter()
+        .find(|r| r.app == AppKind::Bl2d)
+        .expect("BL2D is a paper application");
     let beta_m: Vec<f64> = run.model.iter().skip(1).map(|s| s.beta_m).collect();
     let period = dominant_period(&beta_m).expect("β_m should oscillate for BL2D");
     assert!(
