@@ -4,8 +4,8 @@
 //!
 //! - **kernels** — SFC key generation (2-D/3-D Morton and Hilbert,
 //!   encode and decode, optimized public path *and* the retained scalar
-//!   references so the speedup is measurable from one binary),
-//!   Berger–Rigoutsos clustering on representative flag shapes, and the
+//!   references so the speedup is measurable from one binary; the 2-D
+//!   Hilbert decode is the scalar loop itself and has no twin) and the
 //!   flag-field scans (signature, count, bounding box);
 //! - **partition** — the partitioner families on the hardest snapshot of
 //!   representative application traces;
@@ -14,10 +14,8 @@
 //!   partition path against the fresh-allocation one;
 //! - **campaign** — one end-to-end reduced campaign through the engine;
 //! - **regrid** — the trace-generation hot path: an end-to-end smoke
-//!   trace, row-major flag marking vs the per-cell `set` loop, the
-//!   arena-backed clusterer vs fresh allocation, and the tiered batch
-//!   SFC kernels (detected tier plus a forced-AVX2 run where the CPU
-//!   has it) vs their scalar references;
+//!   trace, row-major flag marking vs the per-cell `set` loop, and the
+//!   arena-backed Berger–Rigoutsos clusterer vs fresh allocation;
 //! - **adaptive** — the repartitioning-policy layer on the PC2D
 //!   phase-change workload: the static partitioner baselines, the
 //!   adaptive presets, and a never-switching policy whose gap to the
@@ -154,19 +152,6 @@ pub fn kernels_report(budget: BenchBudget) -> BenchReport {
             }
             acc
         }));
-    rep.benches.push(bench_fn(
-        "hilbert2_decode_64k_scalar",
-        budget,
-        keys2,
-        || {
-            let mut acc = 0u64;
-            for &d in black_box(&keys2d[..]) {
-                let (x, y) = scalar::hilbert_decode(8, d);
-                acc = acc.wrapping_add(x ^ y);
-            }
-            acc
-        },
-    ));
     rep.benches
         .push(bench_fn("morton3_encode_32k", budget, keys3, || {
             sfc::morton_keys_3d(black_box(&coords3), &mut out_keys);
@@ -234,25 +219,8 @@ pub fn kernels_report(budget: BenchBudget) -> BenchReport {
         },
     ));
 
-    // Berger–Rigoutsos clustering, fresh-allocation and scratch-reuse.
-    let ring = ring_flags();
-    let scattered = scattered_flags();
-    let opts = ClusterOptions::paper_defaults();
-    rep.benches
-        .push(bench_fn("cluster_ring_256", budget, None, || {
-            cluster_flags(&ring, &opts).len()
-        }));
-    let mut scratch = ClusterScratch::default();
-    rep.benches
-        .push(bench_fn("cluster_ring_256_scratch", budget, None, || {
-            cluster_flags_with(&ring, &opts, &mut scratch).len()
-        }));
-    rep.benches
-        .push(bench_fn("cluster_scattered_256", budget, None, || {
-            cluster_flags(&scattered, &opts).len()
-        }));
-
     // Flag-field scans over the ring (the grid generator's hot queries).
+    let ring = ring_flags();
     let cells = Some((KEYS_2D, "cells/s"));
     let dom = ring.domain();
     rep.benches
@@ -423,13 +391,12 @@ pub fn sim_report(budget: BenchBudget) -> BenchReport {
     rep
 }
 
-/// The `regrid` suite: the trace-generation hot path that PR-level work
-/// vectorized — flag marking, clustering, batch SFC keys — each against
-/// the pattern it replaced, plus one end-to-end smoke trace so the
-/// composite pipeline is tracked as a single number.
+/// The `regrid` suite: the trace-generation hot path — flag marking and
+/// clustering — each against the pattern it replaced, plus one
+/// end-to-end smoke trace so the composite pipeline is tracked as a
+/// single number.
 pub fn regrid_report(budget: BenchBudget) -> BenchReport {
     use samr_apps::generate_trace;
-    use samr_geom::sfc::BatchIsa;
     use std::hint::black_box;
 
     let mut rep = BenchReport::new("regrid", budget);
@@ -514,89 +481,6 @@ pub fn regrid_report(budget: BenchBudget) -> BenchReport {
         None,
         || cluster_flags(black_box(&scattered), &opts).len(),
     ));
-
-    // Batch SFC encode — the partitioner's unit-ordering pass — through
-    // the best detected tier and, where the CPU has it, the forced AVX2
-    // tier, each against the per-key scalar-reference loop it replaced.
-    let keys2 = Some((KEYS_2D, "keys/s"));
-    let keys3 = Some((KEYS_3D, "keys/s"));
-    let coords2: Vec<[u64; 2]> = (0..SIDE_2D)
-        .flat_map(|y| (0..SIDE_2D).map(move |x| [x, y]))
-        .collect();
-    let coords3: Vec<[u64; 3]> = (0..SIDE_3D)
-        .flat_map(|z| (0..SIDE_3D).flat_map(move |y| (0..SIDE_3D).map(move |x| [x, y, z])))
-        .collect();
-    let mut out_keys: Vec<u64> = Vec::new();
-    rep.benches
-        .push(bench_fn("sfc_batch_morton2_64k", budget, keys2, || {
-            sfc::morton_keys(black_box(&coords2), &mut out_keys);
-            out_keys.last().copied()
-        }));
-    rep.benches.push(bench_fn(
-        "sfc_batch_morton2_64k_scalar",
-        budget,
-        keys2,
-        || {
-            let mut acc = 0u64;
-            for c in black_box(&coords2[..]) {
-                acc = acc.wrapping_add(scalar::morton_key(c[0], c[1]));
-            }
-            acc
-        },
-    ));
-    rep.benches
-        .push(bench_fn("sfc_batch_morton3_32k", budget, keys3, || {
-            sfc::morton_keys_3d(black_box(&coords3), &mut out_keys);
-            out_keys.last().copied()
-        }));
-    rep.benches.push(bench_fn(
-        "sfc_batch_morton3_32k_scalar",
-        budget,
-        keys3,
-        || {
-            let mut acc = 0u64;
-            for c in black_box(&coords3[..]) {
-                acc = acc.wrapping_add(scalar::morton_key_3d(c[0], c[1], c[2]));
-            }
-            acc
-        },
-    ));
-    if BatchIsa::Avx2.is_available() {
-        rep.benches
-            .push(bench_fn("sfc_avx2_morton2_64k", budget, keys2, || {
-                sfc::morton_keys_with(BatchIsa::Avx2, black_box(&coords2), &mut out_keys);
-                out_keys.last().copied()
-            }));
-        rep.benches.push(bench_fn(
-            "sfc_avx2_morton2_64k_scalar",
-            budget,
-            keys2,
-            || {
-                let mut acc = 0u64;
-                for c in black_box(&coords2[..]) {
-                    acc = acc.wrapping_add(scalar::morton_key(c[0], c[1]));
-                }
-                acc
-            },
-        ));
-        rep.benches
-            .push(bench_fn("sfc_avx2_morton3_32k", budget, keys3, || {
-                sfc::morton_keys_3d_with(BatchIsa::Avx2, black_box(&coords3), &mut out_keys);
-                out_keys.last().copied()
-            }));
-        rep.benches.push(bench_fn(
-            "sfc_avx2_morton3_32k_scalar",
-            budget,
-            keys3,
-            || {
-                let mut acc = 0u64;
-                for c in black_box(&coords3[..]) {
-                    acc = acc.wrapping_add(scalar::morton_key_3d(c[0], c[1], c[2]));
-                }
-                acc
-            },
-        ));
-    }
     rep
 }
 
@@ -810,12 +694,12 @@ mod tests {
         });
         validate(&rep).expect("valid kernels report");
         // Every optimized SFC bench has its scalar twin for the
-        // speedup comparison.
+        // speedup comparison; the 2-D Hilbert decode is the scalar loop.
+        assert!(rep.get("hilbert2_decode_64k").is_some());
         for name in [
             "morton2_encode_64k",
             "morton2_decode_64k",
             "hilbert2_encode_64k",
-            "hilbert2_decode_64k",
             "morton3_encode_32k",
             "morton3_decode_32k",
             "hilbert3_encode_32k",
@@ -862,8 +746,6 @@ mod tests {
             ("flag_mark_ring_256", "_naive"),
             ("cluster_ring_arena", "_naive"),
             ("cluster_scattered_arena", "_naive"),
-            ("sfc_batch_morton2_64k", "_scalar"),
-            ("sfc_batch_morton3_32k", "_scalar"),
         ] {
             assert!(rep.get(name).is_some(), "missing {name}");
             assert!(
@@ -871,12 +753,6 @@ mod tests {
                 "missing twin of {name}"
             );
         }
-        // The forced-AVX2 tier benches travel in pairs too (present only
-        // where the CPU executes the tier).
-        assert_eq!(
-            rep.get("sfc_avx2_morton2_64k").is_some(),
-            rep.get("sfc_avx2_morton2_64k_scalar").is_some()
-        );
     }
 
     #[test]

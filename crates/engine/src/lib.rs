@@ -3,8 +3,8 @@
 //! The paper's contribution is a *pipeline*: application trace → penalty
 //! model → partitioner selection → execution simulation. Before this
 //! crate existed, that wiring was copy-pasted across the facade's
-//! experiment harness, six examples, four criterion benches and the
-//! `samr` CLI, each hard-coding one (app × partitioner × nprocs)
+//! experiment harness, the examples, the benches and the `samr` CLI,
+//! each hard-coding one (app × partitioner × nprocs)
 //! combination. `samr-engine` makes the sweep itself a first-class,
 //! composable, statically described artifact:
 //!

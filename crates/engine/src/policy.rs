@@ -101,12 +101,14 @@ impl PolicySpec {
     }
 
     /// Simulate a snapshot stream: the scenario's partitioner driven by
-    /// this policy. The static policy reproduces
-    /// [`PartitionerSpec::simulate_source`] byte for byte (windowed
-    /// snapshot-parallel for static partitioners, strictly sequential
-    /// for stateful selectors); adaptive policies always run
-    /// sequentially at window 1, because a pending switch must see every
-    /// snapshot's observed metrics before the next is partitioned.
+    /// this policy — the one simulate entry point shared by scenario
+    /// execution, the CLI and the benches. The static policy runs at
+    /// [`PartitionerSpec::window`] (windowed snapshot-parallel for
+    /// static partitioners, strictly sequential for stateful
+    /// selectors); adaptive policies always run sequentially at window
+    /// 1, because a pending switch must see every snapshot's observed
+    /// metrics before the next is partitioned. Peak residency is
+    /// `O(window)`.
     pub fn simulate_source<const D: usize>(
         &self,
         partitioner: &PartitionerSpec,
@@ -187,7 +189,10 @@ mod tests {
     }
 
     #[test]
-    fn static_policy_matches_the_partitioner_spec_driver() {
+    fn static_policy_matches_the_sequential_driver() {
+        // Windowed for static partitioners, window 1 for the stateful
+        // meta selector: either way the static policy reproduces the
+        // strictly sequential run of the built partitioner.
         let trace = generate_trace(AppKind::Tp2d, &TraceGenConfig::smoke());
         let cfg = SimConfig {
             nprocs: 8,
@@ -198,7 +203,10 @@ mod tests {
             let (via_policy, stats) = PolicySpec::Static
                 .simulate_source::<2>(&part, &mut MemorySource::new(&trace), &cfg)
                 .unwrap();
-            let direct = part.simulate(&trace, &cfg);
+            let local = part.build::<2>(&cfg.machine);
+            let (direct, _) =
+                simulate_source_stats(&mut MemorySource::new(&trace), local.as_ref(), &cfg, 1)
+                    .unwrap();
             assert_eq!(via_policy, direct, "{name}");
             assert!(stats.switch_events.is_empty());
         }

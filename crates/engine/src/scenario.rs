@@ -2,12 +2,12 @@
 
 use crate::policy::PolicySpec;
 use crate::spec::PartitionerSpec;
-use crate::store::{cached_model, cached_source, cached_trace};
+use crate::store::{cached_model, consume_source};
 use crate::validation::ShapeStats;
 use samr_apps::{AppKind, TraceGenConfig};
 use samr_core::ModelState;
 use samr_sim::{SimConfig, SimResult, StreamStats};
-use samr_trace::{shared_source, AnySnapshotSource, HierarchyTrace, MemorySource};
+use samr_trace::{AnySnapshotSource, HierarchyTrace, MemorySource};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
@@ -133,8 +133,8 @@ impl Scenario {
     /// when the store's byte budget admits it, straight from the spill
     /// file otherwise), is windowed through the partitioner, and never
     /// needs to be whole in this scenario's memory. A spill-file I/O
-    /// failure retries from the in-memory store (identical output)
-    /// rather than aborting the campaign.
+    /// failure replays the in-memory trace (identical output) rather
+    /// than aborting the campaign.
     pub fn run(&self) -> ScenarioOutcome {
         assert_eq!(
             self.dim,
@@ -154,14 +154,7 @@ impl Scenario {
                     .simulate_source::<3>(&self.partitioner, s, &self.sim)
             }
         };
-        let (sim, stats) = cached_source(self.app, &self.trace)
-            .and_then(|mut source| simulate(&mut source))
-            .unwrap_or_else(|_| {
-                // Disk trouble (full temp dir, reaped spill file) must
-                // not kill a multi-scenario sweep: regenerate in memory.
-                let mut source = shared_source(cached_trace(self.app, &self.trace));
-                simulate(&mut source).expect("in-memory snapshot sources cannot fail")
-            });
+        let (sim, stats) = consume_source(self.app, &self.trace, simulate);
         outcome_from(self, sim, stats, model)
     }
 }

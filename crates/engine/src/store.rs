@@ -205,29 +205,46 @@ pub fn cached_trace(kind: AppKind, cfg: &TraceGenConfig) -> Arc<AnyTrace> {
     admit(key, trace)
 }
 
+/// Run `consume` over an application's snapshot stream from
+/// [`cached_source`]. Disk trouble (full temp dir, reaped or corrupt
+/// spill file) must not kill a multi-scenario sweep: on a spill-file I/O
+/// failure the stream is replayed from the in-memory trace, which yields
+/// identical output, and the first such failure of the process is
+/// reported on stderr.
+pub(crate) fn consume_source<T>(
+    kind: AppKind,
+    cfg: &TraceGenConfig,
+    mut consume: impl FnMut(&mut AnySnapshotSource) -> Result<T, TraceIoError>,
+) -> T {
+    cached_source(kind, cfg)
+        .and_then(|mut source| consume(&mut source))
+        .unwrap_or_else(|e| {
+            static WARNED: std::sync::Once = std::sync::Once::new();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "warning: cannot read the {} trace spill file ({e}); \
+                     using the in-memory trace instead",
+                    kind.name()
+                )
+            });
+            let mut source = shared_source(cached_trace(kind, cfg));
+            consume(&mut source).expect("in-memory snapshot sources cannot fail")
+        })
+}
+
 /// The model series (per-step penalties and classification points) over
 /// the cached trace of an application — computed once per configuration
 /// as a streaming fold (at most two snapshots resident) and shared by
 /// every scenario sweeping partitioners over it. A spill-file I/O
-/// failure degrades to the in-memory batch path (identical output)
-/// rather than aborting the campaign.
+/// failure replays the in-memory trace (identical output) and warns
+/// once per process rather than aborting the campaign.
 pub fn cached_model(kind: AppKind, cfg: &TraceGenConfig) -> Arc<Vec<ModelState>> {
     let key = trace_key(kind, cfg);
     if let Some(m) = model_cache().lock().unwrap().get(&key) {
         return Arc::clone(m);
     }
     let pipeline = ModelPipeline::new();
-    let states = cached_source(kind, cfg)
-        .and_then(|mut source| pipeline.run_any_source(&mut source))
-        .unwrap_or_else(|_| {
-            // Disk trouble (full temp dir, reaped spill file) must not
-            // kill a multi-scenario sweep: regenerate in memory.
-            let trace = cached_trace(kind, cfg);
-            match &*trace {
-                AnyTrace::D2(t) => pipeline.run(t),
-                AnyTrace::D3(t) => pipeline.run(t),
-            }
-        });
+    let states = consume_source(kind, cfg, |source| pipeline.run_any_source(source));
     let model = Arc::new(states);
     Arc::clone(model_cache().lock().unwrap().entry(key).or_insert(model))
 }
@@ -307,6 +324,40 @@ mod tests {
         // The spill file exists and decodes to the same trace.
         let path = spill_path(&trace_key(AppKind::Tp2d, &cfg));
         assert!(path.exists(), "spill file missing at {path:?}");
+    }
+
+    #[test]
+    fn a_corrupt_spill_file_falls_back_to_the_in_memory_trace() {
+        use crate::{PartitionerSpec, PolicySpec, Scenario};
+        use samr_sim::SimConfig;
+        use samr_trace::MemorySource;
+        // A fresh key whose spill file is not a trace: the model fold
+        // cannot decode it and must replay the in-memory trace instead,
+        // so the scenario's outcome equals a pure in-memory run.
+        let cfg = TraceGenConfig {
+            seed: 9173,
+            ..TraceGenConfig::smoke()
+        };
+        let path = spill_path(&trace_key(AppKind::Bl2d, &cfg));
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, b"not a trace").unwrap();
+        assert!(cached_source(AppKind::Bl2d, &cfg).is_err());
+
+        let part = PartitionerSpec::parse("hybrid").unwrap();
+        let sim = SimConfig {
+            nprocs: 8,
+            ..SimConfig::default()
+        };
+        let outcome = Scenario::new(AppKind::Bl2d, cfg.clone(), part, sim).run();
+        std::fs::remove_file(&path).unwrap();
+
+        let trace = samr_apps::generate_trace(AppKind::Bl2d, &cfg);
+        assert_eq!(*outcome.model, ModelPipeline::new().run(&trace));
+        let (want_sim, want_stats) = PolicySpec::Static
+            .simulate_source::<2>(&part, &mut MemorySource::new(&trace), &sim)
+            .unwrap();
+        assert_eq!(outcome.sim, want_sim);
+        assert_eq!(outcome.stats, want_stats);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! communication and migration — the blue curves), the load-imbalance
 //! series (Figure 1) and the *shape statistics* the paper's visual
 //! comparison corresponds to (correlations, amplitude ratios, peak lags,
-//! dominant oscillation periods). The examples, integration tests and
-//! criterion benches all consume this type, so all three report the same
-//! numbers — and all of them are now thin wrappers over the campaign
-//! engine rather than hand-wired pipelines.
+//! dominant oscillation periods). The examples and integration tests
+//! both consume this type, so both report the same numbers — and both
+//! are thin wrappers over the campaign engine rather than hand-wired
+//! pipelines.
 
 use crate::scenario::{run_on_trace, Scenario, ScenarioOutcome};
 use crate::spec::PartitionerSpec;

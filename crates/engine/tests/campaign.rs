@@ -206,7 +206,13 @@ fn windowed_driver_bounds_live_snapshots_at_the_window() {
     // the whole stream is consumed and the output matches the batch
     // driver bit for bit.
     let static_spec = PartitionerSpec::parse("hybrid").unwrap();
-    let batch = static_spec.simulate(trace, &cfg);
+    let in_memory = |spec: &PartitionerSpec| {
+        samr_engine::PolicySpec::Static
+            .simulate_source::<2>(spec, &mut samr_trace::MemorySource::new(trace), &cfg)
+            .expect("in-memory snapshot sources cannot fail")
+            .0
+    };
+    let batch = in_memory(&static_spec);
     for window in [2usize, 4, 7] {
         let yielded = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut source = CountingSource {
@@ -240,7 +246,7 @@ fn windowed_driver_bounds_live_snapshots_at_the_window() {
     assert_eq!(yielded.load(Ordering::Relaxed), trace.len());
     assert!(stats.peak_resident <= 2, "{}", stats.peak_resident);
     // And the streamed sequential run equals the batch sequential run.
-    assert_eq!(result.steps, meta_spec.simulate(trace, &cfg).steps);
+    assert_eq!(result.steps, in_memory(&meta_spec).steps);
 }
 
 #[test]

@@ -74,29 +74,20 @@ impl ComparisonResult {
     }
 }
 
-/// Run one (possibly stateful) partitioner sequentially over a snapshot
-/// stream. Sequential order is required for the meta-partitioner, whose
-/// classification depends on the previous hierarchy — this is the
-/// windowed streaming driver pinned to window 1, so at most two
-/// snapshots (the current pair) are ever resident.
-pub fn run_sequential_source<const D: usize>(
+/// Run one (possibly stateful) partitioner strictly sequentially over a
+/// snapshot stream (window 1: the meta-partitioner's classification
+/// depends on the previous hierarchy) and summarize it.
+fn run_outcome<const D: usize>(
     source: &mut (dyn SnapshotSource<D> + '_),
     partitioner: &(dyn Partitioner<D> + Sync),
     cfg: &SimConfig,
-) -> Result<(Vec<StepMetrics>, f64), TraceIoError> {
+) -> Result<RunOutcome, TraceIoError> {
     let (result, _) = simulate_source_stats(source, partitioner, cfg, 1)?;
-    Ok((result.steps, result.total_time))
-}
-
-/// Run one (possibly stateful) partitioner sequentially over a whole
-/// trace — the batch facade over [`run_sequential_source`].
-pub fn run_sequential<const D: usize>(
-    trace: &HierarchyTrace<D>,
-    partitioner: &(dyn Partitioner<D> + Sync),
-    cfg: &SimConfig,
-) -> (Vec<StepMetrics>, f64) {
-    run_sequential_source(&mut MemorySource::new(trace), partitioner, cfg)
-        .expect("in-memory snapshot sources cannot fail")
+    Ok(outcome(
+        partitioner.name(),
+        &result.steps,
+        result.total_time,
+    ))
 }
 
 fn outcome(name: String, steps: &[StepMetrics], total: f64) -> RunOutcome {
@@ -138,20 +129,16 @@ where
         Box::new(PatchPartitioner::default()),
         Box::new(HybridPartitioner::default()),
     ];
-    let mut static_runs = Vec::with_capacity(statics.len());
-    for p in &statics {
-        let (steps, total) =
-            run_sequential_source(&mut MemorySource::new(&trace), p.as_ref(), cfg)?;
-        static_runs.push(outcome(p.name(), &steps, total));
-    }
+    let static_runs = statics
+        .iter()
+        .map(|p| run_outcome(&mut MemorySource::new(&trace), p.as_ref(), cfg))
+        .collect::<Result<Vec<_>, _>>()?;
     let meta = MetaPartitioner::for_machine(&cfg.machine);
-    let (steps, total) = run_sequential_source(&mut MemorySource::new(&trace), &meta, cfg)?;
     let octant = OctantMetaPartitioner::new();
-    let (osteps, ototal) = run_sequential_source(&mut MemorySource::new(&trace), &octant, cfg)?;
     Ok(ComparisonResult {
         static_runs,
-        meta_run: outcome(meta.name(), &steps, total),
-        octant_run: outcome(octant.name(), &osteps, ototal),
+        meta_run: run_outcome(&mut MemorySource::new(&trace), &meta, cfg)?,
+        octant_run: run_outcome(&mut MemorySource::new(&trace), &octant, cfg)?,
     })
 }
 
@@ -231,14 +218,16 @@ mod tests {
     }
 
     #[test]
-    fn sequential_runner_matches_simulate_for_stateless() {
+    fn sequential_static_runs_match_the_batch_driver() {
         use samr_sim::simulate_trace;
         let trace = generate_trace(AppKind::Sc2d, &TraceGenConfig::smoke());
-        let p = DomainSfcPartitioner::default();
         let cfg = cfg();
-        let (steps, total) = run_sequential(&trace, &p, &cfg);
+        let res = compare_on_trace(&trace, &cfg);
+        let p = DomainSfcPartitioner::default();
         let par = simulate_trace(&trace, &p, &cfg);
-        assert_eq!(steps, par.steps);
-        assert!((total - par.total_time).abs() < 1e-9);
+        assert_eq!(
+            res.static_runs[0],
+            outcome(Partitioner::<2>::name(&p), &par.steps, par.total_time)
+        );
     }
 }

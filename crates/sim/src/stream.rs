@@ -2,9 +2,11 @@
 //! snapshot stream through a partitioner.
 //!
 //! [`simulate_source`] pulls snapshots from a [`SnapshotSource`] into a
-//! ring of at most `window` snapshots, partitions the window
-//! rayon-parallel (partitioners are pure functions of the hierarchy),
-//! then folds the window's step metrics in order, carrying exactly one
+//! ring of at most `window` snapshots, partitions the window's changed
+//! snapshots rayon-parallel (partitioners are pure functions of the
+//! hierarchy; a snapshot repeating its predecessor's hierarchy reuses
+//! its distribution under `reuse_unchanged`), then folds the window's
+//! step metrics in order, carrying exactly one
 //! `(snapshot, partition)` pair across window boundaries (step metrics
 //! need the predecessor for migration). Peak residency is therefore
 //! `window` in-flight snapshots plus the single carried predecessor —
@@ -13,10 +15,10 @@
 //!
 //! With `window == 1` the driver degrades to the strictly sequential
 //! regime stateful partitioner selectors require: partitioners are
-//! invoked one snapshot at a time, in step order, and — matching the
-//! meta-partitioner comparison driver — *not* invoked at all on steps
-//! whose hierarchy is unchanged under `reuse_unchanged`, so selector
-//! state evolves exactly as in a live run.
+//! invoked one snapshot at a time, in step order, and — as in every
+//! window — *not* invoked at all on steps whose hierarchy is unchanged
+//! under `reuse_unchanged`, so selector state evolves exactly as in a
+//! live run.
 
 use crate::index::MetricScratch;
 use crate::policy::{PartitionPolicy, PolicySwitch, StaticPolicy, SwitchEvent};
@@ -26,34 +28,14 @@ use samr_partition::{Partition, PartitionScratch, Partitioner};
 use samr_trace::io::TraceIoError;
 use samr_trace::{Snapshot, SnapshotSource};
 
-/// The default window, resolved once per process.
-///
-/// Honors the `SAMR_STREAM_WINDOW` environment variable when set to a
-/// positive integer (a deliberate operator override, including `1` for
-/// the strictly sequential regime). Otherwise autotunes to twice the
-/// rayon pool width — every worker has a snapshot to partition plus one
-/// queued — clamped to `2..=64` so residency stays bounded on very wide
-/// machines where more queueing buys no throughput.
+/// The default window, resolved once per process: twice the rayon pool
+/// width — every worker has a snapshot to partition plus one queued —
+/// clamped to `2..=64` so residency stays bounded on very wide machines
+/// where more queueing buys no throughput. Operators bound it through
+/// the pool width (`--threads`).
 pub fn default_window() -> usize {
     static WINDOW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WINDOW.get_or_init(|| {
-        let autotuned = (2 * rayon::current_num_threads()).clamp(2, 64);
-        match std::env::var("SAMR_STREAM_WINDOW") {
-            Ok(v) => match v.parse::<usize>() {
-                Ok(w) if w >= 1 => w,
-                // An override the operator set but we cannot honor must
-                // not be swallowed: say what was rejected and what runs.
-                _ => {
-                    eprintln!(
-                        "warning: SAMR_STREAM_WINDOW='{v}' is not a positive integer; \
-                         using the autotuned window of {autotuned}"
-                    );
-                    autotuned
-                }
-            },
-            Err(_) => autotuned,
-        }
-    })
+    *WINDOW.get_or_init(|| (2 * rayon::current_num_threads()).clamp(2, 64))
 }
 
 /// Residency and adaptation accounting of one
@@ -129,7 +111,9 @@ pub fn simulate_source_stats<const D: usize>(
 /// The window-parallel pre-partitioning fast path only applies to
 /// static policies (`window > 1` with a switching policy would
 /// pre-partition with a stale partitioner); adaptive policies run the
-/// strictly sequential regime regardless of `window`.
+/// strictly sequential regime regardless of `window`. Either way the
+/// partitioner is invoked only on snapshots whose hierarchy changed
+/// (under `reuse_unchanged`) or that materialize a pending switch.
 pub fn simulate_policy_source_stats<const D: usize>(
     source: &mut (dyn SnapshotSource<D> + '_),
     policy: &mut (dyn PartitionPolicy<D> + '_),
@@ -166,15 +150,35 @@ pub fn simulate_policy_source_stats<const D: usize>(
         }
         consumed += buf.len();
         peak_resident = peak_resident.max(buf.len() + usize::from(carry.is_some()));
-        // Pre-partition the whole window in parallel — except in the
-        // sequential (window 1) regime, where partitioners run on demand
-        // so stateful selectors see exactly the live invocation order,
-        // and under switching policies, where the current partitioner is
-        // only known once the preceding step's metrics were observed.
+        // Which snapshots repeat their predecessor's hierarchy and may
+        // reuse its distribution: decided once per window, for both the
+        // parallel pre-pass and the fold.
+        let same_as_prev: Vec<bool> = (0..buf.len())
+            .map(|i| {
+                cfg.reuse_unchanged && {
+                    let prev_h = if i == 0 {
+                        carry.as_ref().map(|(s, _)| &s.hierarchy)
+                    } else {
+                        Some(&buf[i - 1].hierarchy)
+                    };
+                    prev_h.is_some_and(|ph| *ph == buf[i].hierarchy)
+                }
+            })
+            .collect();
+        // Pre-partition the window's changed snapshots in parallel —
+        // except in the sequential (window 1) regime, where partitioners
+        // run on demand so stateful selectors see exactly the live
+        // invocation order, and under switching policies, where the
+        // current partitioner is only known once the preceding step's
+        // metrics were observed. A static policy never has a pending
+        // switch, so the mask alone decides reuse here.
         let mut pre: Vec<Option<Partition<D>>> = if window > 1 && policy.is_static() {
             let partitioner = policy.current();
-            buf.par_iter()
-                .map(|s| Some(partitioner.partition(&s.hierarchy, cfg.nprocs)))
+            (0..buf.len())
+                .into_par_iter()
+                .map(|i| {
+                    (!same_as_prev[i]).then(|| partitioner.partition(&buf[i].hierarchy, cfg.nprocs))
+                })
                 .collect()
         } else {
             vec![None; buf.len()]
@@ -184,14 +188,7 @@ pub fn simulate_policy_source_stats<const D: usize>(
             // A pending switch suppresses the unchanged-hierarchy skip:
             // the new partitioner must actually produce (and pay for) a
             // distribution before any reuse may resume.
-            let unchanged = pending.is_none() && cfg.reuse_unchanged && {
-                let prev_h = if i == 0 {
-                    carry.as_ref().map(|(s, _)| &s.hierarchy)
-                } else {
-                    Some(&buf[i - 1].hierarchy)
-                };
-                prev_h.is_some_and(|ph| *ph == buf[i].hierarchy)
-            };
+            let unchanged = pending.is_none() && same_as_prev[i];
             let (part, cost) = if unchanged {
                 let prev_part = if i == 0 {
                     &carry.as_ref().expect("unchanged implies a predecessor").1
@@ -338,37 +335,57 @@ mod tests {
         }
     }
 
+    /// A partitioner that records the size of every hierarchy it is
+    /// invoked on, in invocation order.
+    struct Recording {
+        inner: HybridPartitioner,
+        calls: std::sync::Mutex<Vec<u64>>,
+    }
+
+    impl Recording {
+        fn new() -> Self {
+            Self {
+                inner: HybridPartitioner::default(),
+                calls: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl Partitioner<2> for Recording {
+        fn name(&self) -> String {
+            Partitioner::<2>::name(&self.inner)
+        }
+        fn partition(&self, h: &GridHierarchy<2>, nprocs: usize) -> Partition<2> {
+            self.calls.lock().unwrap().push(h.total_points());
+            self.inner.partition(h, nprocs)
+        }
+        fn cost_estimate(&self, h: &GridHierarchy<2>) -> f64 {
+            Partitioner::<2>::cost_estimate(&self.inner, h)
+        }
+    }
+
+    /// The hierarchy sizes of the snapshots whose hierarchy differs from
+    /// their predecessor's, in step order: the invocations a run that
+    /// reuses unchanged hierarchies must make.
+    fn changed_hierarchies(t: &HierarchyTrace<2>) -> Vec<u64> {
+        t.snapshots
+            .iter()
+            .enumerate()
+            .filter(|(i, s)| *i == 0 || t.snapshots[i - 1].hierarchy != s.hierarchy)
+            .map(|(_, s)| s.hierarchy.total_points())
+            .collect()
+    }
+
     #[test]
     fn window_one_is_strictly_sequential() {
-        // A partitioner that records its invocation order proves the
-        // sequential regime never reorders or over-invokes.
-        use samr_partition::Partition;
-        use std::sync::Mutex;
-        struct Recording {
-            inner: HybridPartitioner,
-            calls: Mutex<Vec<u64>>,
-        }
-        impl Partitioner<2> for Recording {
-            fn name(&self) -> String {
-                Partitioner::<2>::name(&self.inner)
-            }
-            fn partition(&self, h: &GridHierarchy<2>, nprocs: usize) -> Partition<2> {
-                self.calls.lock().unwrap().push(h.total_points());
-                self.inner.partition(h, nprocs)
-            }
-            fn cost_estimate(&self, h: &GridHierarchy<2>) -> f64 {
-                Partitioner::<2>::cost_estimate(&self.inner, h)
-            }
-        }
+        // Recorded invocations prove the sequential regime never reorders
+        // or over-invokes.
         let t = trace(8);
         let cfg = SimConfig {
             nprocs: 4,
             ..SimConfig::default()
         };
-        let rec = Recording {
-            inner: HybridPartitioner::default(),
-            calls: Mutex::new(Vec::new()),
-        };
+        let rec = Recording::new();
         let (res, stats) =
             simulate_source_stats(&mut MemorySource::new(&t), &rec, &cfg, 1).unwrap();
         assert_eq!(res.steps.len(), 8);
@@ -376,15 +393,30 @@ mod tests {
         // Steps 4 and 5 repeat step 3's hierarchy: exactly 6 invocations,
         // in step order.
         let calls = rec.calls.into_inner().unwrap();
-        let expected: Vec<u64> = t
-            .snapshots
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| *i == 0 || t.snapshots[i - 1].hierarchy != s.hierarchy)
-            .map(|(_, s)| s.hierarchy.total_points())
-            .collect();
-        assert_eq!(calls, expected);
+        assert_eq!(calls, changed_hierarchies(&t));
         assert!(calls.len() < t.len(), "the plateau must be reused");
+    }
+
+    #[test]
+    fn windowed_pre_pass_skips_unchanged_hierarchies() {
+        // The parallel pre-pass partitions only the snapshots whose
+        // hierarchy changed, including across window boundaries (the
+        // plateau at steps 3..6 straddles windows 2 and 3); only the
+        // invocation order may differ from the sequential run.
+        let t = trace(11);
+        let cfg = SimConfig {
+            nprocs: 4,
+            ..SimConfig::default()
+        };
+        let mut expected = changed_hierarchies(&t);
+        expected.sort_unstable();
+        for window in [2usize, 3, 5] {
+            let rec = Recording::new();
+            simulate_source_stats(&mut MemorySource::new(&t), &rec, &cfg, window).unwrap();
+            let mut calls = rec.calls.into_inner().unwrap();
+            calls.sort_unstable();
+            assert_eq!(calls, expected, "window {window}");
+        }
     }
 
     /// A policy that switches from domain-SFC to hybrid once it sees a
@@ -501,12 +533,10 @@ mod tests {
     }
 
     #[test]
-    fn default_window_is_positive_and_bounded_without_override() {
+    fn default_window_follows_the_pool_width() {
         let w = default_window();
-        assert!(w >= 1);
-        if std::env::var("SAMR_STREAM_WINDOW").is_err() {
-            assert!((2..=64).contains(&w), "autotuned window {w} out of range");
-        }
+        assert_eq!(w, (2 * rayon::current_num_threads()).clamp(2, 64));
+        assert!((2..=64).contains(&w), "window {w} out of range");
     }
 
     #[test]

@@ -228,9 +228,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         nprocs,
         ..SimConfig::default()
     };
-    let res: SimResult = match &mut source {
-        AnySnapshotSource::D2(s) => spec.simulate_source::<2>(s, &cfg),
-        AnySnapshotSource::D3(s) => spec.simulate_source::<3>(s, &cfg),
+    let (res, _): (SimResult, _) = match &mut source {
+        AnySnapshotSource::D2(s) => PolicySpec::Static.simulate_source::<2>(&spec, s, &cfg),
+        AnySnapshotSource::D3(s) => PolicySpec::Static.simulate_source::<3>(&spec, s, &cfg),
     }
     .map_err(|e| format!("simulate {path}: {e}"))?;
     println!(
